@@ -25,6 +25,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/scratch_arena.hpp"
@@ -48,52 +49,6 @@ struct ValSpan {
     } else {
       view = ar.template get_elems<U>();
     }
-  }
-};
-
-template <typename T>
-struct ArrayOpAm {
-  static constexpr bool kBorrowsPayload = true;
-
-  Darc<ArrayState<T>> state;
-  OpCode op = OpCode::kAdd;
-  std::uint8_t fetch = 0;
-  PairMode pair = PairMode::kOneToOne;
-  std::span<const std::uint64_t> locals;
-  std::span<const T> vals;
-
-  // Send-side only (not wire state): when set, the operand slice is the
-  // permutation vals_base[gather_pos[j]], written element-wise into the
-  // lane instead of being staged contiguously first.
-  const T* vals_base = nullptr;
-  std::span<const std::size_t> gather_pos;
-
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(state, op, fetch, pair);
-    if constexpr (Ar::is_writing) {
-      ar.put_elems(locals);
-      if (vals_base != nullptr) {
-        ar.template put_elems_gather<T>(
-            gather_pos.size(),
-            [this](std::size_t j) { return vals_base[gather_pos[j]]; });
-      } else {
-        ar.put_elems(vals);
-      }
-    } else {
-      locals = ar.template get_elems<std::uint64_t>();
-      vals = ar.template get_elems<T>();
-    }
-  }
-
-  ValSpan<T> exec(AmContext&) {
-    const std::size_t n =
-        pair == PairMode::kOneIdxManyVals ? vals.size() : locals.size();
-    std::span<T> out;
-    if (fetch != 0) out = ScratchArena::local().alloc_span<T>(n);
-    array_detail::apply_batch_sink<T>(*state, op, fetch != 0, pair, locals,
-                                      vals, out.data());
-    return {out};
   }
 };
 
@@ -143,18 +98,21 @@ struct ArrayCexAm {
   }
 };
 
-/// A fused lazy-chain group bound for one destination PE (DESIGN.md §11):
-/// the per-chunk local slots, the chain's stage table, and ONE concatenated
-/// operand region — per-element stages contribute locals.size() values
-/// (gathered by caller position straight into the lane), shared stages one.
-/// exec() borrows everything from the inbox and applies the composed kernel
-/// in a single pass; with `fetch` the reply carries post-chain values.
+/// The element-op AM (DESIGN.md §9): one chunk of an element-op chain bound
+/// for one destination PE — the chunk's local slots, the chain's stage table,
+/// ONE concatenated operand region (per-element stages contribute
+/// locals.size() values, gathered by caller position straight into the
+/// lane; shared stages one) and the fetch mode.  An eager op is a chain of
+/// length 1, a load the empty chain.  exec() borrows everything from the
+/// inbox, rejects a malformed record before touching the slab, and applies
+/// the composed kernel in a single pass; the reply carries pre-image or
+/// post-chain values per `fetch`.
 template <typename T>
-struct ArrayFusedAm {
+struct ArrayOpAm {
   static constexpr bool kBorrowsPayload = true;
 
   Darc<ArrayState<T>> state;
-  std::uint8_t fetch = 0;
+  FetchMode fetch = FetchMode::kNone;
   std::span<const std::uint64_t> locals;
   std::span<const FusedStage> stages;
   std::span<const T> ops;  ///< exec-side concatenated operand region
@@ -172,14 +130,12 @@ struct ArrayFusedAm {
       ar.put_elems(locals);
       ar.put_elems(stages);
       const std::size_t n = locals.size();
-      std::size_t total = 0;
-      for (const FusedStage& s : stages) total += s.per_elem != 0 ? n : 1;
       // Sequential gather over the concatenated layout: advance the stage
       // cursor when j crosses a region boundary (put_elems_gather calls
       // strictly in order, so the walk is O(total)).
       std::size_t si = 0;
       std::size_t sbase = 0;
-      ar.template put_elems_gather<T>(total, [&](std::size_t j) {
+      ar.template put_elems_gather<T>(operand_count(), [&](std::size_t j) {
         while (j - sbase >= (stages[si].per_elem != 0 ? n : 1)) {
           sbase += stages[si].per_elem != 0 ? n : 1;
           ++si;
@@ -195,11 +151,50 @@ struct ArrayFusedAm {
     }
   }
 
+  /// Operand values the stage table implies for this chunk.
+  [[nodiscard]] std::size_t operand_count() const {
+    std::size_t total = 0;
+    for (const FusedStage& s : stages) {
+      total += s.per_elem != 0 ? locals.size() : 1;
+    }
+    return total;
+  }
+
   ValSpan<T> exec(AmContext&) {
+    ArrayState<T>& st = *state;
+    if (static_cast<std::uint8_t>(fetch) >
+        static_cast<std::uint8_t>(FetchMode::kPostChain)) {
+      throw Error("element-op record: unknown fetch mode " +
+                  std::to_string(static_cast<unsigned>(fetch)));
+    }
+    for (const FusedStage& s : stages) {
+      // Compare-exchange travels as ArrayCexAm; it and anything past it
+      // are not chain stages.
+      if (static_cast<std::uint8_t>(s.op) >=
+          static_cast<std::uint8_t>(OpCode::kCompareExchange)) {
+        throw Error("element-op record: invalid stage op " +
+                    std::to_string(static_cast<unsigned>(s.op)));
+      }
+    }
+    if (ops.size() != operand_count()) {
+      throw Error("element-op record: operand region holds " +
+                  std::to_string(ops.size()) + " values, stage table needs " +
+                  std::to_string(operand_count()));
+    }
+    const std::size_t slab_len = st.map.local_len(st.my_rank());
+    for (const std::uint64_t local : locals) {
+      if (local >= slab_len) {
+        throw Error("element-op record: local index " +
+                    std::to_string(local) + " beyond slab length " +
+                    std::to_string(slab_len));
+      }
+    }
     std::span<T> out;
-    if (fetch != 0) out = ScratchArena::local().alloc_span<T>(locals.size());
-    array_detail::apply_fused_sink<T>(*state, stages, ops, locals,
-                                      fetch != 0 ? out.data() : nullptr);
+    if (fetch != FetchMode::kNone) {
+      out = ScratchArena::local().alloc_span<T>(locals.size());
+    }
+    array_detail::apply_fused_sink<T>(st, stages, ops, locals, fetch,
+                                      out.data());
     return {out};
   }
 };
@@ -724,7 +719,6 @@ struct ArrayFillAm {
 #define LAMELLAR_REGISTER_ARRAY_ELEMENT(T)              \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayOpAm<T>);       \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayCexAm<T>);      \
-  LAMELLAR_REGISTER_AM(::lamellar::ArrayFusedAm<T>);    \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayPutAm<T>);      \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayGetAm<T>);      \
   LAMELLAR_REGISTER_AM(::lamellar::ReduceStartAm<T>);   \

@@ -53,14 +53,6 @@ enum class OpCode : std::uint8_t {
   kCompareExchange,
 };
 
-/// How indices pair with values in a batch (paper: Many Indices - One Value,
-/// One Index - Many Values, Many - Many one-to-one).
-enum class PairMode : std::uint8_t {
-  kManyIdxOneVal,
-  kOneIdxManyVals,
-  kOneToOne,
-};
-
 /// Result of a compare-exchange: the value observed and whether it swapped.
 template <typename T>
 struct CexResult {
@@ -88,6 +80,11 @@ struct FusedStage {
 };
 static_assert(std::is_trivially_copyable_v<FusedStage> &&
               sizeof(FusedStage) == 2);
+
+/// Which value per element an element-op chain returns: nothing, the value
+/// before the chain (eager fetch_* / batch_fetch_* / load), or the value
+/// after it (a lazy chain's gather terminal).  Travels as one wire byte.
+enum class FetchMode : std::uint8_t { kNone, kPreImage, kPostChain };
 
 /// One recorded stage of a lazy chain on the caller side: the op plus its
 /// operand source — a shared scalar, or a borrowed pointer into the
@@ -126,8 +123,8 @@ struct ArrayState {
   obs::Counter* ops_batched = nullptr;
   obs::Counter* chunk_bytes_inline = nullptr;
   obs::Counter* plan_allocs = nullptr;
-  // Lazy-chain fusion metrics: chain length per flushed group, and the
-  // number of eager AM passes each fused dispatch avoided.
+  // Element-op group metrics: AM passes each dispatched group stands for
+  // (an eager op is 1), and the passes multi-stage groups avoided.
   obs::Counter* fused_ams_saved = nullptr;
   obs::Histogram* fused_chain_len = nullptr;
 
@@ -427,95 +424,34 @@ CexResult<T> apply_cex(ArrayState<T>& st, std::size_t local, T expected,
   throw Error("unknown array mode");
 }
 
-/// Apply a whole batch (already translated to local indices), writing fetch
-/// results into the caller-provided sink — dispatchers point `results` at
-/// the gather's output slots (or an arena span) so the owner side allocates
-/// nothing.  `results` may be null when `fetch` is false.  Charges
-/// per-element safety costs to the PE clock so Fig. 2/3 reflect the paper's
-/// observed overhead ordering.
-template <typename T>
-void apply_batch_sink(ArrayState<T>& st, OpCode op, bool fetch, PairMode pair,
-                      std::span<const std::uint64_t> locals,
-                      std::span<const T> vals, T* results) {
-  const std::size_t n =
-      pair == PairMode::kOneIdxManyVals ? vals.size() : locals.size();
-
-  auto& lamellae = st.world->lamellae();
-  const auto& params = lamellae.params();
-  double cost = 0.0;
-  switch (st.mode) {
-    case ArrayMode::kAtomicNative:
-      cost = params.atomic_store_ns * static_cast<double>(n);
-      break;
-    case ArrayMode::kAtomicGeneric:
-      cost = params.generic_mutex_ns * static_cast<double>(n);
-      break;
-    case ArrayMode::kLocalLock:
-      cost = params.rwlock_acquire_ns +
-             static_cast<double>(n * sizeof(T)) / params.memcpy_bytes_per_ns;
-      break;
-    default:
-      cost = static_cast<double>(n * sizeof(T)) / params.memcpy_bytes_per_ns;
-      break;
-  }
-  lamellae.charge(cost);
-
-  if (st.mode == ArrayMode::kLocalLock && n > 1) {
-    // Whole-batch exclusive lock, then direct application.
-    std::unique_lock lock(*st.local_lock);
-    const ArrayMode saved = st.mode;
-    st.mode = ArrayMode::kUnsafe;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t local = pair == PairMode::kOneIdxManyVals
-                                    ? locals[0]
-                                    : locals[j];
-      const T operand = vals.empty()
-                            ? T{}
-                            : (pair == PairMode::kManyIdxOneVal ? vals[0]
-                                                                : vals[j]);
-      const T prev = apply_one(st, local, op, operand);
-      if (fetch) results[j] = prev;
-    }
-    st.mode = saved;
-    return;
-  }
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t local =
-        pair == PairMode::kOneIdxManyVals ? locals[0] : locals[j];
-    const T operand =
-        vals.empty() ? T{}
-                     : (pair == PairMode::kManyIdxOneVal ? vals[0] : vals[j]);
-    const T prev = apply_one(st, local, op, operand);
-    if (fetch) results[j] = prev;
-  }
-}
-
-/// Apply a fused op chain to a batch of local slots: per element, one load,
-/// a fold of every stage through `combine`, one store — regardless of chain
-/// length.  `ops` is the concatenated operand region (per-element stages
-/// contribute locals.size() values, shared stages one).  When `results` is
-/// non-null, results[j] receives the *post-chain* value of element j (the
-/// chain's gather terminal observes what it just wrote; a pure gather is an
-/// empty chain).  Safety regimes match the mode: kAtomicNative folds the
-/// whole chain in a single CAS loop (the chain is element-atomic — stronger
-/// than k separate atomic ops), kAtomicGeneric holds the element byte lock
-/// across the fold, kLocalLock takes the PE-wide lock once for the batch,
+/// Apply an element-op chain to a batch of local slots — the one owner-side
+/// apply routine for every non-CAS element op (an eager op is a chain of
+/// length 1, a load the empty chain).  Per element: one load, a fold of
+/// every stage through `combine`, one store, regardless of chain length.
+/// `ops` is the concatenated operand region (per-element stages contribute
+/// locals.size() values, shared stages one); one index may repeat, and its
+/// elements then apply in order.  With `fetch` != kNone, results[j]
+/// receives element j's value before (kPreImage) or after (kPostChain) the
+/// chain.  Safety regimes match the mode: kAtomicNative folds the whole
+/// chain in a single CAS loop (the chain is element-atomic — stronger than
+/// k separate atomic ops), kAtomicGeneric holds the element byte lock
+/// across the fold, kLocalLock holds the PE-wide lock for the whole batch,
 /// kUnsafe/kReadOnly use relaxed tear-free accesses like apply_one.
 template <typename T>
 void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
                       std::span<const T> ops,
-                      std::span<const std::uint64_t> locals, T* results) {
+                      std::span<const std::uint64_t> locals, FetchMode fetch,
+                      T* results) {
   const std::size_t n = locals.size();
   if (n == 0) return;
   const bool mutates = !stages.empty();
   if (st.mode == ArrayMode::kReadOnly && mutates) {
-    throw Error("fused chain with mutating stages on ReadOnlyArray");
+    throw Error("element-op chain with mutating stages on ReadOnlyArray");
   }
 
-  // One batch's worth of per-element safety cost, charged once: the fused
-  // pass performs a single guarded read-modify-write per element no matter
-  // how many stages fold into it.
+  // One batch's worth of per-element safety cost, charged once: the pass
+  // performs a single guarded read-modify-write per element no matter how
+  // many stages fold into it.
   auto& lamellae = st.world->lamellae();
   const auto& params = lamellae.params();
   double cost = 0.0;
@@ -544,6 +480,11 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
     }
     return cur;
   };
+  const bool pre = fetch == FetchMode::kPreImage;
+  if (fetch == FetchMode::kNone) results = nullptr;
+  auto sink = [&](std::size_t j, T before, T after) {
+    if (results != nullptr) results[j] = pre ? before : after;
+  };
 
   T* slab = st.local_slab().data();
   switch (st.mode) {
@@ -551,16 +492,18 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
     case ArrayMode::kReadOnly: {
       for (std::size_t j = 0; j < n; ++j) {
         T* slot = slab + locals[j];
-        T next;
         if constexpr (kNativeAtomicCapable<T>) {
           std::atomic_ref<T> ref(*slot);
-          next = fold(j, ref.load(std::memory_order_relaxed));
+          const T cur = ref.load(std::memory_order_relaxed);
+          const T next = fold(j, cur);
           if (mutates) ref.store(next, std::memory_order_relaxed);
+          sink(j, cur, next);
         } else {
-          next = fold(j, *slot);
+          const T cur = *slot;
+          const T next = fold(j, cur);
           if (mutates) *slot = next;
+          sink(j, cur, next);
         }
-        if (results != nullptr) results[j] = next;
       }
       return;
     }
@@ -574,7 +517,9 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
           for (std::size_t j = 0; j < n; ++j) {
             const T operand = s.per_elem != 0 ? ops[j] : ops[0];
             const T prev = apply_one<T>(st, locals[j], s.op, operand);
-            if (results != nullptr) results[j] = combine(s.op, prev, operand);
+            if (results != nullptr) {
+              results[j] = pre ? prev : combine(s.op, prev, operand);
+            }
           }
           return;
         }
@@ -588,7 +533,7 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
               next = fold(j, cur);
             }
           }
-          if (results != nullptr) results[j] = next;
+          sink(j, cur, next);
         }
         return;
       }
@@ -598,9 +543,10 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
       for (std::size_t j = 0; j < n; ++j) {
         ByteLockGuard guard(st.elem_locks[locals[j]]);
         T* slot = slab + locals[j];
-        const T next = fold(j, *slot);
+        const T cur = *slot;
+        const T next = fold(j, cur);
         if (mutates) *slot = next;
-        if (results != nullptr) results[j] = next;
+        sink(j, cur, next);
       }
       return;
     }
@@ -614,9 +560,10 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
       }
       for (std::size_t j = 0; j < n; ++j) {
         T* slot = slab + locals[j];
-        const T next = fold(j, *slot);
+        const T cur = *slot;
+        const T next = fold(j, cur);
         if (mutates) *slot = next;
-        if (results != nullptr) results[j] = next;
+        sink(j, cur, next);
       }
       return;
     }

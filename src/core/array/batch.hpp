@@ -4,8 +4,10 @@
 // batching operations by destination PE within a single message", splitting
 // batches at the configured op limit (default 10,000, the value the paper's
 // experiments use).  Fetch results are scattered back into caller order.
-// Local chunks are applied directly (owner == caller), remote chunks travel
-// as ArrayOpAm / ArrayCexAm.
+// Every non-CAS element op — single, batched, one-index-many-values, load —
+// and every lazy chain group lowers through fuse_dispatch: an eager op is a
+// chain of length 1.  Local chunks are applied directly (owner == caller),
+// remote chunks travel as ArrayOpAm; compare-exchange keeps ArrayCexAm.
 //
 // Memory discipline (DESIGN.md §9): planning is backed by the calling
 // thread's ScratchArena — flat index/position arrays bucketed by rank, a
@@ -17,13 +19,16 @@
 // positions and count down an atomic — no gather mutex anywhere.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/scratch_arena.hpp"
+#include "common/unique_function.hpp"
 #include "core/array/array_ams.hpp"
 
 namespace lamellar {
@@ -150,182 +155,216 @@ inline void finish_unit(const std::shared_ptr<UnitGather>& gather) {
   }
 }
 
-/// Scatter one chunk's results (borrowed reply view) into the gather.
-/// `pos_offset` indexes gather->positions, or kIdentityScatter for 1:1.
+/// Scatter one chunk's results (borrowed reply view) into `out`.
+/// `pos_offset` indexes `positions`, or kIdentityScatter for 1:1.
 template <typename R>
-void scatter_chunk(const std::shared_ptr<BatchGather<R>>& gather,
+void scatter_chunk(std::vector<R>& out,
+                   const std::vector<std::size_t>& positions,
                    std::size_t pos_offset, std::span<const R> results) {
   if (pos_offset == kIdentityScatter) {
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      gather->out[j] = results[j];
-    }
+    std::copy(results.begin(), results.end(), out.begin());
   } else {
     for (std::size_t j = 0; j < results.size(); ++j) {
-      gather->out[gather->positions[pos_offset + j]] = results[j];
+      out[positions[pos_offset + j]] = results[j];
     }
   }
 }
 
-/// Dispatch an element-op batch.  `vals` has size idxs.size() (one-to-one)
-/// or 1 (many-indices-one-value).  Returns fetch results in caller order
-/// (empty vector for non-fetch ops, completing when all chunks applied).
+/// Completion state shared by every chunk of every group an element-op
+/// chain dispatches.  `remaining` starts at 1 — the issuer's hold — so a
+/// group that completes while later groups are still being dispatched can
+/// never fire the terminal early; the issuer stores `on_complete` and then
+/// releases the hold.  Fetch output and (for multi-chunk fetch groups)
+/// caller positions live here because chunk completions can outlive the
+/// dispatch frame.
 template <typename T>
-Future<std::vector<T>> dispatch_op(const Darc<ArrayState<T>>& state,
-                                   std::size_t view_start, OpCode op,
-                                   bool fetch,
-                                   std::span<const global_index> idxs,
-                                   std::span<const T> vals) {
+struct FusedRun {
+  std::atomic<std::size_t> remaining{1};
+  std::vector<T> out;
+  std::vector<std::size_t> positions;
+  UniqueFunction<void()> on_complete;
+
+  void complete_one() {
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // The caller of the final complete_one holds a shared_ptr, so `this`
+      // outlives the callback.
+      on_complete();
+    }
+  }
+};
+
+/// Lower one element-op chain group — the only element-op lowering (DESIGN.md
+/// §9): a single plan pass over `idxs`, then per chunk either a local
+/// composed-kernel application or one ArrayOpAm.  With `fetch` != kNone,
+/// pre-image or post-chain element values scatter into run->out in caller
+/// order (the run's positions table serves multi-chunk scatter).  Each
+/// dispatched chunk adds one count to run->remaining before any completion
+/// can observe it.
+template <typename T>
+void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
+                   std::span<const global_index> idxs,
+                   std::span<const FusedStageRec<T>> recs, FetchMode fetch,
+                   const std::shared_ptr<FusedRun<T>>& run) {
   ArrayState<T>& st = *state;
-  const PairMode pair = vals.size() <= 1 && idxs.size() != 1
-                            ? PairMode::kManyIdxOneVal
-                            : PairMode::kOneToOne;
+  const std::size_t n = idxs.size();
+  const std::size_t k = recs.size();
+  if (n == 0) return;
+  const bool fetching = fetch != FetchMode::kNone;
+
+  bool any_per_elem = false;
+  for (const FusedStageRec<T>& r : recs) any_per_elem |= r.per_elem;
+
   ScratchArena& arena = ScratchArena::local();
   const std::uint64_t grows_before = arena.grow_events();
   ArenaFrame frame(arena);
-  // Positions drive fetch-result scatter and one-to-one operand gather;
-  // a non-fetch many-one batch (the histogram hot path) needs neither.
-  const bool need_pos = fetch || pair == PairMode::kOneToOne;
+  // Positions drive fetch-result scatter and per-element operand gather; a
+  // non-fetch shared-operand group (the histogram hot path) needs neither.
+  const bool need_pos = fetching || any_per_elem;
   auto plan = plan_chunks(arena, st, idxs, view_start,
                           st.world->config().batch_op_limit, need_pos);
-  st.ops_batched->inc(idxs.size());
+  // The chain applies k element ops per index in one pass (a pure gather
+  // is one load); account for all of them.
+  st.ops_batched->inc(n * std::max<std::size_t>(k, 1));
+  // AM passes the group would cost as separate length-1 chains: one per
+  // stage, plus one for a post-chain gather (a pre-image fetch rides its
+  // op, and a pure load is one pass).
+  const std::size_t passes = std::max<std::size_t>(
+      k + (fetch == FetchMode::kPostChain ? 1 : 0), 1);
+  st.fused_chain_len->record(passes);
 
-  auto gather = std::make_shared<BatchGather<T>>();
-  gather->remaining.store(plan.chunks.size(), std::memory_order_relaxed);
   if (plan.chunks.empty()) {
     st.plan_allocs->inc(arena.grow_events() - grows_before);
-    gather->promise.set_value({});
-    return gather->promise.future();
+    return;
   }
-  if (fetch) gather->out.resize(idxs.size());
-  const bool multi = plan.chunks.size() > 1;
-  if (fetch && multi) {
-    // Completions may outlive this frame; park the position table on the
-    // gather before any send can trigger a progress-loop completion.
-    gather->positions.assign(plan.pos_flat.begin(), plan.pos_flat.end());
-  }
-  auto future = gather->promise.future();
 
+  // The wire stage table, shared by every chunk of this group.
+  auto hdrs = arena.alloc_span<FusedStage>(k);
+  std::size_t wire_vals_per_idx = 0;  // per-element operand count
+  std::size_t wire_shared_vals = 0;
+  for (std::size_t s = 0; s < k; ++s) {
+    hdrs[s] = FusedStage{recs[s].op,
+                         static_cast<std::uint8_t>(recs[s].per_elem ? 1 : 0)};
+    if (recs[s].per_elem) {
+      ++wire_vals_per_idx;
+    } else {
+      ++wire_shared_vals;
+    }
+  }
+
+  const bool multi = plan.chunks.size() > 1;
+  if (fetching) {
+    run->out.resize(n);
+    if (multi) {
+      run->positions.assign(plan.pos_flat.begin(), plan.pos_flat.end());
+    }
+  }
   const std::size_t my_rank = st.my_rank();
+  std::size_t remote_chunks = 0;
   for (const ChunkRef& chunk : plan.chunks) {
     const std::span<const std::uint64_t> locals =
         plan.locals_flat.subspan(chunk.offset, chunk.len);
     const std::span<const std::size_t> pos =
         need_pos ? plan.pos_flat.subspan(chunk.offset, chunk.len)
                  : std::span<const std::size_t>{};
+    const std::size_t nvals =
+        chunk.len * wire_vals_per_idx + wire_shared_vals;
+    run->remaining.fetch_add(1, std::memory_order_relaxed);
     if (chunk.rank == my_rank) {
-      // Owner == caller: apply in place.  Single-chunk batches sink fetch
-      // results straight into the output (identity scatter); multi-chunk
-      // ones stage in the arena and scatter by caller position.
+      // Owner == caller: stage this chunk's concatenated operand region in
+      // the arena (per-element operands permuted into chunk order, shared
+      // scalars once) and run the same composed kernel the remote side
+      // runs, sinking fetch results straight into the run's output for
+      // single-chunk groups.
+      auto ops = arena.alloc_span<T>(nvals);
+      std::size_t ob = 0;
+      for (std::size_t s = 0; s < k; ++s) {
+        if (recs[s].per_elem) {
+          for (std::size_t j = 0; j < chunk.len; ++j) {
+            ops[ob + j] = recs[s].vals[pos[j]];
+          }
+          ob += chunk.len;
+        } else {
+          ops[ob++] = recs[s].scalar;
+        }
+      }
       T* sink = nullptr;
       std::span<T> staged;
-      if (fetch) {
+      if (fetching) {
         if (multi) {
           staged = arena.alloc_span<T>(chunk.len);
           sink = staged.data();
         } else {
-          sink = gather->out.data();
+          sink = run->out.data();
         }
       }
-      if (pair == PairMode::kOneToOne && multi) {
-        auto ops = arena.alloc_span<T>(chunk.len);
-        for (std::size_t j = 0; j < chunk.len; ++j) ops[j] = vals[pos[j]];
-        apply_batch_sink<T>(st, op, fetch, pair, locals, ops, sink);
-      } else {
-        // Single chunk => pos is the identity, so one-to-one operands are
-        // already aligned with locals; many-one operands are shared.
-        apply_batch_sink<T>(st, op, fetch, pair, locals, vals, sink);
-      }
-      if (fetch && multi) {
+      apply_fused_sink<T>(st, hdrs, ops, locals, fetch, sink);
+      if (fetching && multi) {
         for (std::size_t j = 0; j < chunk.len; ++j) {
-          gather->out[pos[j]] = staged[j];
+          run->out[pos[j]] = staged[j];
         }
       }
-      complete_one(gather);
+      run->complete_one();
       continue;
     }
+    ++remote_chunks;
     ArrayOpAm<T> am;
     am.state = state;
-    am.op = op;
-    am.fetch = fetch ? 1 : 0;
-    am.pair = pair;
+    am.fetch = fetch;
     am.locals = locals;
-    if (pair == PairMode::kOneToOne) {
-      am.vals_base = vals.data();
-      am.gather_pos = pos;
-    } else {
-      am.vals = vals;
-    }
-    const std::size_t val_count =
-        pair == PairMode::kOneToOne ? chunk.len : vals.size();
-    st.chunk_bytes_inline->inc(locals.size_bytes() + val_count * sizeof(T));
+    am.stages = hdrs;
+    am.recs = recs.data();
+    am.gather_pos = pos;
+    st.chunk_bytes_inline->inc(locals.size_bytes() + hdrs.size_bytes() +
+                               nvals * sizeof(T));
     st.world->engine().send_cb(
         st.team.world_pe(chunk.rank), std::move(am),
-        [gather, fetch,
+        [run, fetching,
          pos_offset = multi ? chunk.offset : kIdentityScatter](ValSpan<T> r) {
-          if (fetch) scatter_chunk(gather, pos_offset, r.view);
-          complete_one(gather);
+          if (fetching) {
+            scatter_chunk(run->out, run->positions, pos_offset, r.view);
+          }
+          run->complete_one();
         });
   }
+  // Each remote chunk would have cost `passes` AMs as separate chains; the
+  // fused group sends exactly one.
+  st.fused_ams_saved->inc(remote_chunks * (passes - 1));
   st.plan_allocs->inc(arena.grow_events() - grows_before);
-  return future;
 }
 
-/// Dispatch the One Index - Many Values form: every operand applies (in
-/// order) to the single element at `idx`.  Chunks are contiguous slices of
-/// the caller's operand buffer, so no planner or staging is needed at all —
-/// operands serialize straight from the caller's memory and fetch results
-/// sink at a fixed offset.
+/// Identity finisher for dispatch_op: the fetch results in caller order.
 template <typename T>
-Future<std::vector<T>> dispatch_op_one_idx(const Darc<ArrayState<T>>& state,
-                                           std::size_t view_start, OpCode op,
-                                           bool fetch, global_index idx,
-                                           std::span<const T> vals) {
-  ArrayState<T>& st = *state;
-  const Placement p = st.map.place(view_start + idx);
-  const std::size_t limit = st.world->config().batch_op_limit;
-  auto gather = std::make_shared<BatchGather<T>>();
-  gather->remaining.store(ceil_div(std::max<std::size_t>(vals.size(), 1),
-                                   limit),
-                          std::memory_order_relaxed);
-  if (vals.empty()) {
-    gather->promise.set_value({});
-    return gather->promise.future();
-  }
-  if (fetch) gather->out.resize(vals.size());
-  auto future = gather->promise.future();
-  st.ops_batched->inc(vals.size());
-  const std::size_t my_rank = st.my_rank();
-  const std::uint64_t one_local[1] = {p.local_index};
-  for (std::size_t off = 0; off < vals.size(); off += limit) {
-    const std::size_t n = std::min(limit, vals.size() - off);
-    const std::span<const T> chunk_vals = vals.subspan(off, n);
-    if (p.rank == my_rank) {
-      apply_batch_sink<T>(st, op, fetch, PairMode::kOneIdxManyVals,
-                          std::span<const std::uint64_t>{one_local, 1},
-                          chunk_vals,
-                          fetch ? gather->out.data() + off : nullptr);
-      complete_one(gather);
-      continue;
-    }
-    ArrayOpAm<T> am;
-    am.state = state;
-    am.op = op;
-    am.fetch = fetch ? 1 : 0;
-    am.pair = PairMode::kOneIdxManyVals;
-    am.locals = std::span<const std::uint64_t>{one_local, 1};
-    am.vals = chunk_vals;
-    st.chunk_bytes_inline->inc(sizeof(one_local) + chunk_vals.size_bytes());
-    st.world->engine().send_cb(
-        st.team.world_pe(p.rank), std::move(am),
-        [gather, off, fetch](ValSpan<T> r) {
-          if (fetch) {
-            for (std::size_t j = 0; j < r.view.size(); ++j) {
-              gather->out[off + j] = r.view[j];
-            }
-          }
-          complete_one(gather);
-        });
-  }
+struct TakeValues {
+  std::vector<T> operator()(std::vector<T>&& v) const { return std::move(v); }
+};
+
+/// Dispatch an eager element op as a length-1 chain (a load is the empty
+/// chain) over `idxs`.  `vals` holds one shared operand or one per index;
+/// `fetch` returns pre-images in caller order.  The future resolves to
+/// `finish(values)` once every chunk applied (values stay empty without
+/// fetch).
+template <typename T, typename Finish = TakeValues<T>>
+auto dispatch_op(const Darc<ArrayState<T>>& state, std::size_t view_start,
+                 OpCode op, bool fetch, std::span<const global_index> idxs,
+                 std::span<const T> vals, Finish finish = {}) {
+  using R = std::invoke_result_t<Finish, std::vector<T>&&>;
+  FusedStageRec<T> rec;
+  rec.op = op;
+  rec.per_elem = vals.size() > 1;
+  rec.scalar = vals.empty() ? T{} : vals[0];
+  rec.vals = vals.data();
+  auto run = std::make_shared<FusedRun<T>>();
+  Promise<R> promise;
+  auto future = promise.future();
+  run->on_complete = UniqueFunction<void()>{
+      [promise, finish, self = run.get()]() mutable {
+        promise.set_value(finish(std::move(self->out)));
+      }};
+  fuse_dispatch<T>(state, view_start, idxs,
+                   std::span<const FusedStageRec<T>>(
+                       &rec, op == OpCode::kLoad ? 0 : 1),
+                   fetch ? FetchMode::kPreImage : FetchMode::kNone, run);
+  run->complete_one();
   return future;
 }
 
@@ -391,7 +430,7 @@ Future<std::vector<CexResult<T>>> dispatch_cex(
         st.team.world_pe(chunk.rank), std::move(am),
         [gather, pos_offset = multi ? chunk.offset : kIdentityScatter](
             ValSpan<CexResult<T>> r) {
-          scatter_chunk(gather, pos_offset, r.view);
+          scatter_chunk(gather->out, gather->positions, pos_offset, r.view);
           complete_one(gather);
         });
   }

@@ -6,8 +6,8 @@
 // transfers, run barriers, and move serialized message buffers between PEs.
 // Implementations here: ShmemLamellae (many PEs, in-process arenas over
 // ShmemFabric — models both the paper's ROFI and Shmem lamellae, with a
-// PeMapping deciding which transfers are "inter-node") and SmpLamellae
-// (single PE, pure local).
+// PeMapping deciding which transfers are "inter-node"; a one-PE group is the
+// paper's SMP lamellae) and MmapLamellae (forked PE processes).
 #pragma once
 
 #include <chrono>

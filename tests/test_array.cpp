@@ -3,6 +3,7 @@
 // distributions (parameterized property sweeps live in test_array_props).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "lamellar.hpp"
@@ -115,18 +116,63 @@ TEST(Array, BatchOneToOneAndFetch) {
 }
 
 TEST(Array, BatchOneIdxManyVals) {
-  run_world(2, [](World& world) {
-    auto arr =
-        AtomicArray<std::uint64_t>::create(world, 8, Distribution::kBlock);
-    arr.fill(1);
-    if (world.my_pe() == 0) {
-      // Paper example: array.batch_mul(20, [2, 10]) multiplies sequentially.
-      std::vector<std::uint64_t> vals{2, 10};
-      world.block_on(arr.batch_mul(7, vals));
-      EXPECT_EQ(world.block_on(arr.load(7)), 20u);
-    }
-    world.barrier();
-  });
+  RuntimeConfig cfg;
+  cfg.batch_op_limit = 4;  // the 10-value fetch batches below span 3 chunks
+  run_world(
+      2,
+      [](World& world) {
+        auto arr =
+            AtomicArray<std::uint64_t>::create(world, 8, Distribution::kBlock);
+        arr.fill(1);
+        if (world.my_pe() == 0) {
+          // Paper example: array.batch_mul(20, [2, 10]) multiplies
+          // sequentially.
+          std::vector<std::uint64_t> vals{2, 10};
+          world.block_on(arr.batch_mul(7, vals));
+          EXPECT_EQ(world.block_on(arr.load(7)), 20u);
+
+          // Fetch form: every value returns the element's pre-image.
+          // Distinct powers of two make each pre-image name exactly the
+          // values applied before it.
+          std::vector<std::uint64_t> pows(10);
+          for (std::size_t j = 0; j < pows.size(); ++j) pows[j] = 1ull << j;
+
+          // Local owner (index 0): chunks apply in caller order, so the
+          // pre-images are the running sums.
+          auto local = world.block_on(arr.batch_fetch_add(0, pows));
+          ASSERT_EQ(local.size(), pows.size());
+          std::uint64_t run = 1;
+          for (std::size_t j = 0; j < pows.size(); ++j) {
+            EXPECT_EQ(local[j], run) << "value " << j;
+            run += pows[j];
+          }
+
+          // Remote owner (index 6 lives on PE 1): values apply in order
+          // within each chunk, and the pre-images of the whole batch form
+          // one sequence of successive values.  Chunks are separate AMs,
+          // so the owner may apply them in either order.
+          auto remote = world.block_on(arr.batch_fetch_add(6, pows));
+          ASSERT_EQ(remote.size(), pows.size());
+          for (std::size_t j = 0; j + 1 < pows.size(); ++j) {
+            if ((j + 1) % 4 != 0) {
+              EXPECT_EQ(remote[j + 1], remote[j] + pows[j]) << "value " << j;
+            }
+          }
+          std::vector<std::size_t> order(pows.size());
+          std::iota(order.begin(), order.end(), 0);
+          std::sort(order.begin(), order.end(), [&](auto a, auto b) {
+            return remote[a] < remote[b];
+          });
+          std::uint64_t seq = 1;
+          for (const std::size_t j : order) {
+            EXPECT_EQ(remote[j], seq) << "value " << j;
+            seq += pows[j];
+          }
+          EXPECT_EQ(world.block_on(arr.load(6)), 1024u);
+        }
+        world.barrier();
+      },
+      cfg);
 }
 
 TEST(Array, BitwiseOps) {
@@ -239,6 +285,8 @@ TEST(Array, SubArrayViews) {
     auto view = arr.sub_array(4, 8);
     EXPECT_EQ(view.len(), 8u);
     EXPECT_EQ(world.block_on(view.sum()), 8u);
+    // Every PE's sum must finish before PE 0 mutates the view.
+    world.barrier();
     if (world.my_pe() == 0) {
       world.block_on(view.add(0, 10));  // global index 4
       EXPECT_EQ(world.block_on(arr.load(4)), 11u);

@@ -428,4 +428,132 @@ TEST(ArrayBatch, CompareExchangeBatchAcrossChunks) {
       cfg);
 }
 
+// ---------------------------------------------------------------------------
+// The element-op AM rejects a malformed record before applying any of it
+// ---------------------------------------------------------------------------
+
+TEST(ArrayBatch, MalformedOpRecordsThrowBeforeApplying) {
+  using u64 = std::uint64_t;
+  run_world(1, [](World& world) {
+    auto arr = AtomicArray<u64>::create(world, 16, Distribution::kBlock);
+    arr.fill(0);
+    AmContext ctx(world, world.my_pe());
+    const u64 locals[3] = {0, 3, 15};
+    const FusedStage shared_add[1] = {{OpCode::kAdd, 0}};
+    const FusedStage per_elem_add[1] = {{OpCode::kAdd, 1}};
+    const u64 one_val[1] = {5};
+    const u64 three_vals[3] = {1, 2, 3};
+
+    // A well-formed record: one shared add with pre-image fetch.
+    auto record = [&] {
+      ArrayOpAm<u64> am;
+      am.state = arr.state_darc();
+      am.fetch = FetchMode::kPreImage;
+      am.locals = locals;
+      am.stages = shared_add;
+      am.ops = one_val;
+      return am;
+    };
+
+    {
+      // Operand region shorter / longer than the stage table implies.
+      auto short_ops = record();
+      short_ops.stages = per_elem_add;
+      short_ops.ops = std::span<const u64>(three_vals, 2);
+      EXPECT_THROW(short_ops.exec(ctx), Error);
+      auto long_ops = record();
+      long_ops.ops = three_vals;
+      EXPECT_THROW(long_ops.exec(ctx), Error);
+    }
+    {
+      // Compare-exchange and out-of-range op codes are not chain stages.
+      const FusedStage cex[1] = {{OpCode::kCompareExchange, 0}};
+      const FusedStage junk[1] = {{static_cast<OpCode>(200), 0}};
+      auto am = record();
+      am.stages = cex;
+      EXPECT_THROW(am.exec(ctx), Error);
+      am.stages = junk;
+      EXPECT_THROW(am.exec(ctx), Error);
+    }
+    {
+      auto am = record();
+      am.fetch = static_cast<FetchMode>(7);
+      EXPECT_THROW(am.exec(ctx), Error);
+    }
+    {
+      // Local index at / far beyond the owner's slab length.
+      const u64 at_len[2] = {0, 16};
+      const u64 huge[1] = {u64{1} << 40};
+      auto am = record();
+      am.locals = at_len;
+      EXPECT_THROW(am.exec(ctx), Error);
+      am.locals = huge;
+      EXPECT_THROW(am.exec(ctx), Error);
+    }
+    // None of the rejected records touched the slab.
+    for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(arr.load_local(i), 0u);
+
+    ArenaFrame frame;  // the reply view is arena-staged
+    auto ok = record();
+    auto pre = ok.exec(ctx).view;
+    ASSERT_EQ(pre.size(), 3u);
+    for (const u64 v : pre) EXPECT_EQ(v, 0u);
+    for (const u64 slot : locals) EXPECT_EQ(arr.load_local(slot), 5u);
+    EXPECT_EQ(arr.load_local(1), 0u);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// LocalLockArray: owner-side batches hold the PE-wide lock for their whole
+// length, so single-element ops applied by another handler thread of the
+// same PE can never interleave with them
+// ---------------------------------------------------------------------------
+
+TEST(ArrayBatch, LocalLockBatchesRacingSingleOpsLoseNoUpdates) {
+  RuntimeConfig cfg;
+  cfg.threads_per_pe = 2;   // two workers + the helping main thread per PE
+  cfg.batch_op_limit = 128;  // many chunks per destination
+  constexpr int kRounds = 150;
+  constexpr std::size_t kLen = 2048;
+  run_world(
+      4,
+      [](World& world) {
+        auto arr = LocalLockArray<std::uint64_t>::create(world, kLen,
+                                                         Distribution::kBlock);
+        arr.fill(0);
+        std::vector<global_index> all(kLen);
+        std::iota(all.begin(), all.end(), 0);
+        // Single ops target every element this PE does not own, so each
+        // owner applies other PEs' single adds while it applies batches.
+        std::vector<global_index> remote;
+        for (const auto i : all) {
+          if (arr.place(i).rank != world.my_pe()) remote.push_back(i);
+        }
+        world.barrier();
+
+        std::vector<Future<Unit>> singles;
+        singles.reserve(remote.size());
+        for (int round = 0; round < kRounds; ++round) {
+          auto batch = arr.batch_add(all, 1);
+          for (const auto i : remote) singles.push_back(arr.add(i, 1));
+          world.block_on(std::move(batch));
+          for (auto& f : singles) world.block_on(std::move(f));
+          singles.clear();
+        }
+        world.wait_all();
+        world.barrier();
+
+        // Every PE batch-added every element once per round; every other
+        // PE single-added it once per round.
+        const std::uint64_t npes = world.num_pes();
+        const std::uint64_t want = kRounds * (npes + (npes - 1));
+        auto guard = arr.read_local_data();
+        std::size_t wrong = 0;
+        for (const auto v : guard.data()) wrong += v != want ? 1 : 0;
+        EXPECT_EQ(wrong, 0u) << "elements with lost updates (want " << want
+                             << " each)";
+      },
+      cfg);
+}
+
 }  // namespace

@@ -9,7 +9,6 @@
 #include "lamellae/cmd_queue.hpp"
 #include "lamellae/heap.hpp"
 #include "lamellae/shmem_lamellae.hpp"
-#include "lamellae/smp_lamellae.hpp"
 
 namespace {
 
@@ -221,18 +220,21 @@ TEST(Lamellae, OneSidedHeapsIndependent) {
   l1->free_onesided(b);
 }
 
+// The paper's SMP lamellae is a one-PE Shmem group (what run_world(1, ...)
+// builds).
 TEST(Lamellae, SmpSinglePe) {
-  SmpLamellae smp;
-  EXPECT_EQ(smp.num_pes(), 1u);
-  EXPECT_EQ(smp.my_pe(), 0u);
-  auto off = smp.alloc_symmetric(256, 16);
+  ShmemLamellaeGroup group(1, {});
+  auto smp = group.endpoint(0);
+  EXPECT_EQ(smp->num_pes(), 1u);
+  EXPECT_EQ(smp->my_pe(), 0u);
+  auto off = smp->alloc_symmetric(256, 16);
   std::vector<std::byte> data(8, std::byte{1});
-  smp.put(0, off, data);
+  smp->put(0, off, data);
   std::vector<std::byte> back(8);
-  smp.get(0, off, back);
+  smp->get(0, off, back);
   EXPECT_EQ(back, data);
-  smp.barrier();  // no-op, must not deadlock
-  smp.free_symmetric(off);
+  smp->barrier();  // one participant, must not deadlock
+  smp->free_symmetric(off);
 }
 
 TEST(CmdQueue, AggregatesUntilThreshold) {
