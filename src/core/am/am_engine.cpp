@@ -228,6 +228,13 @@ void AmEngine::handle_forward(std::span<const std::byte> payload,
 }
 
 void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
+  struct DispatchScope {
+    std::atomic<std::uint64_t>& n;
+    explicit DispatchScope(std::atomic<std::uint64_t>& c) : n(c) {
+      n.fetch_add(1, std::memory_order_acq_rel);
+    }
+    ~DispatchScope() { n.fetch_sub(1, std::memory_order_acq_rel); }
+  } dispatch_scope(dispatching_);
   ScopedWorld scope(world_);
   ScopedAmSrc src_scope(src);
   obs::TraceSpan span(tracer_, "dispatch_buffer", "am", my_pe(),

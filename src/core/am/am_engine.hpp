@@ -271,6 +271,14 @@ class AmEngine {
            completed_.load(std::memory_order_acquire);
   }
 
+  /// Inbox buffers some thread is dispatching right now.  Their records
+  /// run inline or sit in a task batch the pool has not counted yet, so
+  /// references they hold show up in neither pool().pending() nor
+  /// outstanding().
+  [[nodiscard]] std::uint64_t dispatching() const {
+    return dispatching_.load(std::memory_order_acquire);
+  }
+
   Lamellae& lamellae() { return lamellae_; }
   ThreadPool& pool() { return pool_; }
   OutgoingQueues& outgoing() { return outgoing_; }
@@ -530,6 +538,7 @@ class AmEngine {
 
   std::atomic<std::uint64_t> launched_{0};
   std::atomic<std::uint64_t> completed_{0};
+  std::atomic<std::uint64_t> dispatching_{0};
 };
 
 /// Type-erased execution shim instantiated per AM type by the registration

@@ -155,7 +155,13 @@ void DarcManager::release_ref(darc_id id) {
 
 void DarcManager::transfer_out(darc_id id) {
   // The serialized handle exists, so handle_count >= 1: a plain increment.
-  add_ref(id);
+  std::lock_guard lock(mu_);
+  auto it = entries_.find(id);
+  if (it == entries_.end()) {
+    throw Error("DarcManager: transfer of unknown darc");
+  }
+  ++it->second.handle_count;
+  ++it->second.in_flight;
 }
 
 void DarcManager::transfer_in(darc_id id, pe_id from) {
@@ -235,7 +241,17 @@ void DarcManager::on_destroy(darc_id id) {
   // `doomed` runs the pointee destructor here, outside the lock.
 }
 
-void DarcManager::on_transfer_ack(darc_id id) { release_ref(id); }
+void DarcManager::on_transfer_ack(darc_id id) {
+  {
+    std::lock_guard lock(mu_);
+    auto it = entries_.find(id);
+    if (it == entries_.end() || it->second.in_flight == 0) {
+      throw Error("DarcManager: transfer-ack without a transfer");
+    }
+    --it->second.in_flight;
+  }
+  release_ref(id);
+}
 
 void DarcManager::maybe_start_check(darc_id id, RootEntry& root,
                                     std::vector<Action>& actions) {
@@ -285,6 +301,12 @@ std::uint64_t DarcManager::local_refs(darc_id id) const {
   std::lock_guard lock(mu_);
   auto it = entries_.find(id);
   return it == entries_.end() ? 0 : it->second.handle_count;
+}
+
+std::uint64_t DarcManager::in_flight_refs(darc_id id) const {
+  std::lock_guard lock(mu_);
+  auto it = entries_.find(id);
+  return it == entries_.end() ? 0 : it->second.in_flight;
 }
 
 bool DarcManager::has(darc_id id) const {

@@ -69,6 +69,9 @@ class DarcManager {
   // ---- introspection (tests / world teardown) ----
   [[nodiscard]] std::size_t live_entries() const;
   [[nodiscard]] std::uint64_t local_refs(darc_id id) const;
+  /// The part of local_refs() held by serialized handles still awaiting the
+  /// receiver's transfer-ack.
+  [[nodiscard]] std::uint64_t in_flight_refs(darc_id id) const;
   [[nodiscard]] bool has(darc_id id) const;
 
   AmEngine& engine() { return engine_; }
@@ -77,6 +80,7 @@ class DarcManager {
   struct LocalEntry {
     std::shared_ptr<void> instance;
     std::uint64_t handle_count = 0;
+    std::uint64_t in_flight = 0;  // transfer_out refs not yet acked
     bool reported_dropped = false;
     pe_id root_pe = 0;
   };

@@ -3,6 +3,7 @@
 // invariants every configuration must satisfy.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <numeric>
 
 #include "bale/common.hpp"
@@ -26,12 +27,18 @@ const char* kind_name(ArrKind k) {
   return "?";
 }
 
+// gtest prints a parameter without a PrintTo as a byte dump, and ctest names
+// each case after that dump, so the padding after `dist` is spelled out and
+// zeroed: left implicit, it carried stack garbage into the test names.
 struct Config {
   ArrKind kind;
   Distribution dist;
+  std::uint8_t pad[3] = {};
   std::size_t npes;
   std::size_t len;
 };
+static_assert(sizeof(Config) == 24 && offsetof(Config, npes) == 8,
+              "Config layout is part of every ArrayMatrix test name");
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   const auto& c = info.param;
@@ -144,7 +151,7 @@ std::vector<Config> make_matrix() {
       for (std::size_t npes : {1, 3, 4}) {
         for (std::size_t len : {1, 7, 64, 1000}) {
           if (len < npes) continue;  // degenerate: fewer elements than PEs
-          out.push_back({kind, dist, npes, len});
+          out.push_back({kind, dist, {}, npes, len});
         }
       }
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "lamellar.hpp"
 
@@ -72,6 +73,29 @@ TEST(Darc, AccessesRemoteInstanceThroughAm) {
       // Each PE's instance is independent: exec on PE 2 sees its tag.
       auto v = world.block_on(world.exec_am_pe(2, HoldDarcAm{d}));
       EXPECT_EQ(v, 200u);
+    }
+    world.barrier();
+  });
+}
+
+TEST(Darc, InFlightRefClearsWhenTransferIsAcked) {
+  run_world(2, [](World& world) {
+    auto d = world.new_darc(TrackedPayload(int(world.my_pe())));
+    DarcManager& darcs = world.darc_manager();
+    if (world.my_pe() == 0) {
+      // The serialized copy is both a local reference and in flight until
+      // PE 1's transfer-ack lands; conversions rely on telling the two
+      // apart from a user-held handle.
+      EXPECT_EQ(world.block_on(world.exec_am_pe(1, HoldDarcAm{d})), 1u);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (darcs.local_refs(d.id()) != 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        world.pool().try_run_one();
+        world.engine().poll_inbox();
+      }
+      EXPECT_EQ(darcs.local_refs(d.id()), 1u);
+      EXPECT_EQ(darcs.in_flight_refs(d.id()), 0u);
     }
     world.barrier();
   });
