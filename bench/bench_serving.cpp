@@ -7,12 +7,12 @@
 // latency is measured from each request's *scheduled arrival* (so a server
 // that falls behind accrues queueing backlog in its tail, exactly like a
 // production load generator) and, separately, from its issue time (service
-// latency — bounded under overload when admission control paces issuance).
+// latency).
 //
-// Rows sweep LAMELLAR_ADAPT=off (at three static thresholds) against agg
-// and full so the adaptive controller's A/B is one committed artifact
-// (BENCH_pr10.json).  Runs in real time (virtual_time=false): the paper's
-// virtual-time model cannot express wall-clock arrival pacing.
+// Rows sweep LAMELLAR_ADAPT=off (at three static thresholds) against agg so
+// the adaptive controller's A/B is one committed artifact (BENCH_pr10.json).
+// Runs in real time (enable_virtual_time = false): the paper's virtual-time
+// model cannot express wall-clock arrival pacing.
 //
 // Env knobs: LAMELLAR_SERVE_PES (default 4), LAMELLAR_SERVE_SECONDS
 // (offered-load duration per row, default 1.0), LAMELLAR_SERVE_SHAPES
@@ -101,7 +101,6 @@ struct Row {
   double arrival_p50 = 0, arrival_p99 = 0, arrival_p999 = 0;
   double service_p50 = 0, service_p99 = 0, service_p999 = 0;
   std::uint64_t ctl_adjustments = 0;
-  std::uint64_t backpressure_stalls = 0;
   std::uint64_t flush_age = 0;
   std::int64_t final_threshold = 0;
   bool verified = false;
@@ -116,9 +115,10 @@ double pct(std::vector<std::uint64_t>& sorted, double p) {
 
 /// One serving run: every PE is both client (open-loop Poisson generator)
 /// and server (shard owner).  Returns the aggregated row.
-Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
+Row run_row(const char* shape, const char* config, RuntimeConfig cfg,
             std::size_t npes, double offered_rps, std::size_t pad_bytes,
             double duration_s) {
+  cfg.enable_virtual_time = false;
   const auto n_per_pe = static_cast<std::size_t>(
       std::max(1.0, offered_rps * duration_s / static_cast<double>(npes)));
   for (std::size_t pe = 0; pe < npes; ++pe) {
@@ -210,7 +210,7 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
         world.barrier();
         g_shards[me] = nullptr;
       },
-      cfg, paper_perf_params(), PeMapping{1}, /*virtual_time=*/false);
+      cfg, paper_perf_params(), PeMapping{1});
 
   // Aggregate (outside the world: all PE threads have exited the body).
   std::vector<std::uint64_t> all_arrival, all_service;
@@ -223,7 +223,6 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
     all_service.insert(all_service.end(), g_service_lat[pe].begin(),
                        g_service_lat[pe].end());
     row.ctl_adjustments += g_snap[pe].counter("ctl.adjustments");
-    row.backpressure_stalls += g_snap[pe].counter("ctl.backpressure_stalls");
     row.flush_age += g_snap[pe].counter("cmdq.flush_age");
     for (const auto& [name, lv] : g_snap[pe].gauges) {
       if (name == "ctl.threshold") {
@@ -254,12 +253,11 @@ bool shape_selected(const char* name) {
 
 void print_row(const Row& r) {
   std::printf("%-8s %-12s %10.0f %10.0f %8zu %9.0f %9.0f %10.0f %9.0f %6zu "
-              "%8zu %9zu %10zu %s\n",
+              "%9zu %10zu %s\n",
               r.shape.c_str(), r.config.c_str(), r.offered_rps,
               r.achieved_rps, static_cast<std::size_t>(r.completed),
               r.arrival_p50, r.arrival_p99, r.arrival_p999, r.service_p99,
               static_cast<std::size_t>(r.ctl_adjustments),
-              static_cast<std::size_t>(r.backpressure_stalls),
               static_cast<std::size_t>(r.flush_age),
               static_cast<std::size_t>(r.final_threshold),
               r.verified ? "yes" : "NO");
@@ -273,14 +271,13 @@ void print_json(const Row& r, std::size_t npes) {
       "\"requests\":%zu,\"completed\":%zu,"
       "\"arrival_us\":{\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f},"
       "\"service_us\":{\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f},"
-      "\"ctl_adjustments\":%zu,\"backpressure_stalls\":%zu,"
-      "\"flush_age\":%zu,\"final_threshold\":%zu,\"verified\":%s}\n",
+      "\"ctl_adjustments\":%zu,\"flush_age\":%zu,"
+      "\"final_threshold\":%zu,\"verified\":%s}\n",
       r.shape.c_str(), r.config.c_str(), npes, r.offered_rps,
       r.achieved_rps, static_cast<std::size_t>(r.requests),
       static_cast<std::size_t>(r.completed), r.arrival_p50, r.arrival_p99,
       r.arrival_p999, r.service_p50, r.service_p99, r.service_p999,
       static_cast<std::size_t>(r.ctl_adjustments),
-      static_cast<std::size_t>(r.backpressure_stalls),
       static_cast<std::size_t>(r.flush_age),
       static_cast<std::size_t>(r.final_threshold),
       r.verified ? "true" : "false");
@@ -320,8 +317,8 @@ int main() {
       {"busy", 0.90, 30'000.0, 48, 1.0},
       // Low-rate trickle: age-triggered flushes carry the latency story.
       {"trickle", 0.04, 2'000.0, 16, 1.0},
-      // 2x saturation: graceful-degradation row — bounded service p99 and
-      // no queue blowup under admission control.
+      // 2x saturation: overload row — the open-loop backlog shows up in
+      // arrival latency.
       {"burst2x", 2.0, 40'000.0, 48, 0.5},
   };
   const BenchConfig configs[] = {
@@ -329,14 +326,13 @@ int main() {
       {"static-100k", 100 * 1024, AdaptMode::kOff},
       {"static-1m", 1024 * 1024, AdaptMode::kOff},
       {"adapt-agg", 100 * 1024, AdaptMode::kAgg},
-      {"adapt-full", 100 * 1024, AdaptMode::kFull},
   };
 
-  std::printf("\n%-8s %-12s %10s %10s %8s %9s %9s %10s %9s %6s %8s %9s "
-              "%10s %s\n",
+  std::printf("\n%-8s %-12s %10s %10s %8s %9s %9s %10s %9s %6s %9s %10s "
+              "%s\n",
               "shape", "config", "offered/s", "achieved/s", "done",
               "arr_p50us", "arr_p99us", "arr_p999us", "svc_p99us", "adj",
-              "stalls", "flushage", "threshold", "ok");
+              "flushage", "threshold", "ok");
   std::vector<Row> rows;
   const bool json = base.metrics_mode == MetricsMode::kJson;
   for (const Shape& shape : shapes) {

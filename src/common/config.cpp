@@ -26,11 +26,9 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_ADAPT_INTERVAL_US",
     "LAMELLAR_ADAPT_MAX",
     "LAMELLAR_ADAPT_MIN",
-    "LAMELLAR_ADMIT_WINDOW",
     "LAMELLAR_AGG_THRESHOLD",
     "LAMELLAR_BACKEND",
     "LAMELLAR_BATCH_OP_LIMIT",
-    "LAMELLAR_CMDQ_DEPTH",
     "LAMELLAR_INTERNAL_HEAP",
     "LAMELLAR_METRICS",
     "LAMELLAR_METRICS_FILE",
@@ -143,9 +141,7 @@ BackendKind parse_backend_kind(const std::string& s) {
 AdaptMode parse_adapt_mode(const std::string& s) {
   if (s == "off") return AdaptMode::kOff;
   if (s == "agg") return AdaptMode::kAgg;
-  if (s == "full") return AdaptMode::kFull;
-  throw std::invalid_argument("LAMELLAR_ADAPT must be off|agg|full, got: " +
-                              s);
+  throw std::invalid_argument("LAMELLAR_ADAPT must be off|agg, got: " + s);
 }
 
 std::vector<std::string> unknown_lamellar_env_vars() {
@@ -180,7 +176,6 @@ RuntimeConfig RuntimeConfig::from_env() {
       env_size("LAMELLAR_SYM_HEAP", cfg.symmetric_heap_bytes);
   cfg.onesided_heap_bytes =
       env_size("LAMELLAR_ONESIDED_HEAP", cfg.onesided_heap_bytes);
-  cfg.cmd_queue_depth = env_size("LAMELLAR_CMDQ_DEPTH", cfg.cmd_queue_depth);
   cfg.seed = env_u64("LAMELLAR_SEED", cfg.seed);
   cfg.enable_virtual_time =
       env_u64("LAMELLAR_VIRTUAL_TIME", cfg.enable_virtual_time ? 1 : 0) != 0;
@@ -213,7 +208,6 @@ RuntimeConfig RuntimeConfig::from_env() {
       env_u64("LAMELLAR_ADAPT_INTERVAL_US", cfg.adapt_interval_us);
   cfg.adapt_age_budget_us =
       env_u64("LAMELLAR_ADAPT_AGE_US", cfg.adapt_age_budget_us);
-  cfg.admit_window = env_u64("LAMELLAR_ADMIT_WINDOW", cfg.admit_window);
 
   // Typo detection: warn once per process about LAMELLAR_ vars nothing
   // reads, rather than silently falling back to defaults.

@@ -42,17 +42,14 @@ enum class BackendKind {
   kMmap,
 };
 
-/// Online adaptation level (env: LAMELLAR_ADAPT=off|agg|full; DESIGN.md
-/// §14).  kOff pins the aggregation knobs at their startup values.  kAgg
-/// runs the per-PE control loop: the flush threshold hill-climbs within
+/// Online adaptation level (env: LAMELLAR_ADAPT=off|agg; DESIGN.md §14).
+/// kOff pins the aggregation knobs at their startup values.  kAgg runs the
+/// per-PE control loop: the flush threshold hill-climbs within
 /// [adapt_min_bytes, adapt_max_bytes] and lanes older than the age budget
-/// are partially flushed.  kFull additionally enables admission control — a
-/// bounded pending-AM window per PE where senders cooperatively run
-/// scheduler work instead of ballooning queues.
+/// are partially flushed.
 enum class AdaptMode {
   kOff,
   kAgg,
-  kFull,
 };
 
 struct RuntimeConfig {
@@ -75,13 +72,12 @@ struct RuntimeConfig {
   /// One-sided heap size per PE in bytes.
   std::size_t onesided_heap_bytes = std::size_t{32} * 1024 * 1024;
 
-  /// Command-queue capacity (messages in flight per PE pair direction).
-  std::size_t cmd_queue_depth = 1024;
-
   /// Seed for all deterministic randomness.
   std::uint64_t seed = 42;
 
-  /// Whether fabric operations charge virtual time to per-PE clocks.
+  /// Whether fabric operations charge virtual time to per-PE clocks
+  /// (env: LAMELLAR_VIRTUAL_TIME=0|1; shmem backend only — mmap PEs are
+  /// real processes and always run in real time).
   bool enable_virtual_time = true;
 
   /// Metrics collection/reporting mode (env: LAMELLAR_METRICS=
@@ -183,12 +179,6 @@ struct RuntimeConfig {
   /// buffer; also the latency set-point the threshold hill-climbs against
   /// (env: LAMELLAR_ADAPT_AGE_US; default 2000).
   std::uint64_t adapt_age_budget_us = 2'000;
-
-  /// Admission-control window: max pending (launched - completed) request
-  /// AMs per PE before senders cooperatively run scheduler work instead of
-  /// queueing more.  0 means auto: 8192 when adapt=full, disabled otherwise
-  /// (env: LAMELLAR_ADMIT_WINDOW).
-  std::uint64_t admit_window = 0;
 
   /// Load overrides from LAMELLAR_* environment variables.
   static RuntimeConfig from_env();

@@ -9,15 +9,6 @@ namespace lamellar {
 namespace {
 thread_local World* tl_current_world = nullptr;
 thread_local pe_id tl_am_src = 0;
-// Set while a thread is inside admit()'s yield loop: sends issued by the
-// tasks it runs (nested AMs, replies, Darc control traffic) must not gate
-// again, or gate loops would nest without bound.
-thread_local bool tl_in_admit = false;
-
-struct AdmitScope {
-  AdmitScope() { tl_in_admit = true; }
-  ~AdmitScope() { tl_in_admit = false; }
-};
 }  // namespace
 
 World* current_world() { return tl_current_world; }
@@ -67,35 +58,9 @@ AmEngine::AmEngine(Lamellae& lamellae, ThreadPool& pool,
   sent_routed_ = &reg.counter("am.sent_routed");
   relayed_records_ = &reg.counter("am.relayed_records");
   relay_bytes_ = &reg.counter("am.relay_bytes");
-  backpressure_stalls_ = &reg.counter("ctl.backpressure_stalls");
   if (cfg.adapt != AdaptMode::kOff) {
     ctl_ = std::make_unique<control::ControlLoop>(
         outgoing_, lamellae, cfg, [this] { poll_inbox(); });
-  }
-  // An explicit LAMELLAR_ADMIT_WINDOW enables admission in any mode; the
-  // auto default only arms it for adapt=full.
-  admit_window_ = cfg.admit_window != 0
-                      ? cfg.admit_window
-                      : (cfg.adapt == AdaptMode::kFull ? 8192 : 0);
-}
-
-void AmEngine::admit() {
-  if (admit_window_ == 0 || tl_in_admit) return;
-  if (outstanding() < admit_window_) return;
-  AdmitScope scope;
-  backpressure_stalls_->inc();
-  // Progress argument (DESIGN.md §14): every iteration either executes a
-  // pool task (which can produce completions), polls the inbox (which
-  // delivers replies), or flushes our own staged requests (so the sends the
-  // window is waiting on actually depart).  Completions therefore keep
-  // flowing and outstanding() is strictly decreasing over the work the
-  // window covers — the loop cannot deadlock.
-  while (outstanding() >= admit_window_) {
-    if (!pool_.cooperative_yield()) {
-      // No runnable task; the yield already polled via the progress hook.
-      if (outgoing_.has_pending()) flush();
-    }
-    if (ctl_ != nullptr) ctl_->maybe_tick();
   }
 }
 
@@ -141,7 +106,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
       // The reply's wire ts is the executing PE's reply-inject time; the
       // difference to our arrival clock is the reply->complete stage.
       // Clamped at zero: per-PE virtual clocks are not globally ordered.
-      const sim_nanos now = lamellae_.clock().now();
+      const sim_nanos now = lamellae_.mono_now();
       const auto sent = static_cast<sim_nanos>(env.trace_ts);
       const sim_nanos dur = now >= sent ? now - sent : 0;
       stage_reply_complete_ns_->record(static_cast<std::uint64_t>(dur));
@@ -167,7 +132,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
     // stage (clamped: per-PE virtual clocks are not globally ordered).
     // For 2-hop traffic the stage spans origin flush -> final arrival,
     // including relay residency — the true end-to-end flight.
-    const sim_nanos now = lamellae_.clock().now();
+    const sim_nanos now = lamellae_.mono_now();
     const auto flushed = static_cast<sim_nanos>(env.trace_ts);
     const sim_nanos dur = now >= flushed ? now - flushed : 0;
     stage_flight_ns_->record(static_cast<std::uint64_t>(dur));
@@ -238,7 +203,7 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
   ScopedWorld scope(world_);
   ScopedAmSrc src_scope(src);
   obs::TraceSpan span(tracer_, "dispatch_buffer", "am", my_pe(),
-                      lamellae_.clock().now());
+                      lamellae_.mono_now());
   std::uint64_t records = 0;
   AmEnvelope env;
   std::span<const std::byte> cursor = buffer.as_span();
@@ -266,7 +231,7 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
     outgoing_.recycle(std::move(buffer));
   }
   pool_.spawn_batch(std::move(batch.tasks));
-  span.finish(lamellae_.clock().now(), records);
+  span.finish(lamellae_.mono_now(), records);
 }
 
 void AmEngine::progress() {

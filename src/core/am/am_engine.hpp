@@ -144,7 +144,6 @@ class AmEngine {
   template <ActiveMessageType Am, typename Fn>
   void send_cb(pe_id dst, Am am, Fn on_result) {
     using R = am_return_t<Am>;
-    admit();
     launched_.fetch_add(1, std::memory_order_relaxed);
     if (dst == my_pe()) {
       // Local bypass: execute as a pool task without serialization.
@@ -173,7 +172,7 @@ class AmEngine {
     const request_id rid =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
     am_sent_remote_->inc();
-    const sim_nanos sent_at = lamellae_.clock().now();
+    const sim_nanos sent_at = lamellae_.mono_now();
     // Causal trace sampling: one in every trace_sample_ request ids carries
     // a 16-byte wire extension and opens a span that the reply closes
     // (spans_opened == spans_closed at quiesce).  Only replied-to sends are
@@ -188,7 +187,7 @@ class AmEngine {
     }
     register_completer(
         rid, [this, sent_at, cb = std::move(on_result)](Deserializer& de) mutable {
-          const sim_nanos now = lamellae_.clock().now();
+          const sim_nanos now = lamellae_.mono_now();
           reply_latency_ns_->record(now >= sent_at ? now - sent_at : 0);
           R r{};
           de.get(r);
@@ -288,9 +287,6 @@ class AmEngine {
   /// The adaptive control loop, or null when LAMELLAR_ADAPT=off.
   [[nodiscard]] control::ControlLoop* control_loop() { return ctl_.get(); }
 
-  /// Effective admission window (0 = admission disabled).
-  [[nodiscard]] std::uint64_t admit_window() const { return admit_window_; }
-
   /// Called by AmExecutor when a remotely launched AM finishes exec().
   void note_am_executed() { am_executed_->inc(); }
 
@@ -369,7 +365,7 @@ class AmEngine {
       if (trace_span != 0) {
         rec.write_pod<std::uint64_t>(trace_span);
         rec.write_pod<std::uint64_t>(
-            static_cast<std::uint64_t>(lamellae_.clock().now()));
+            static_cast<std::uint64_t>(lamellae_.mono_now()));
         ext_bytes = kTraceExtBytes;
         if (type != kReplyType) {
           w.note_trace(trace_span,
@@ -412,7 +408,7 @@ class AmEngine {
     if (trace_span != 0) {
       rec.write_pod<std::uint64_t>(trace_span);
       rec.write_pod<std::uint64_t>(
-          static_cast<std::uint64_t>(lamellae_.clock().now()));
+          static_cast<std::uint64_t>(lamellae_.mono_now()));
       ext_bytes = kTraceExtBytes;
     }
     {
@@ -467,15 +463,6 @@ class AmEngine {
   void charge_serialize(std::size_t bytes);
   void dispatch_buffer(ByteBuffer buffer, pe_id src);
 
-  /// Admission control (DESIGN.md §14): when the pending-AM window
-  /// (launched - completed) is full, cooperatively run scheduler work,
-  /// drain the inbox, and flush our own staged requests until the window
-  /// reopens, instead of ballooning the queues.  No-op when the window is
-  /// disabled, and skipped (via a thread-local guard) for sends issued by
-  /// tasks that are already executing inside a gated sender's yield loop —
-  /// gating those would nest gate loops without bound.
-  void admit();
-
   /// Dispatch one non-forward record (reply completion or AM execution).
   /// `src` is the PE that *originated* the record — for 2-hop traffic this
   /// is the origin carried in the wrapper, not the relay the fabric message
@@ -496,11 +483,9 @@ class AmEngine {
   World* world_ = nullptr;
   obs::TraceCollector* tracer_ = nullptr;
 
-  // Adaptive control & backpressure (DESIGN.md §14).
+  // Adaptive control (DESIGN.md §14).
   std::unique_ptr<control::ControlLoop> ctl_;
-  std::uint64_t admit_window_ = 0;
   std::atomic<std::uint64_t> tick_gate_{0};
-  obs::Counter* backpressure_stalls_;  // ctl.backpressure_stalls
 
   // AM-engine metrics ("am.*"), resolved once from the PE registry.
   obs::Counter* am_sent_remote_;
@@ -566,10 +551,10 @@ struct AmExecutor {
     if constexpr (InlineAm<Am>) {
       ScopedWorld scope(engine.world());
       AmContext ctx(*engine.world(), src);
-      const sim_nanos t0 = engine.lamellae().clock().now();
+      const sim_nanos t0 = span != 0 ? engine.lamellae().mono_now() : 0;
       auto result = AmEngine::invoke_exec<Am>(am, ctx);
       if (span != 0) {
-        engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
+        engine.note_traced_exec(span, t0, engine.lamellae().mono_now());
       }
       engine.note_am_executed();
       if ((flags & kWantsReply) != 0) {
@@ -585,10 +570,10 @@ struct AmExecutor {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
         ArenaFrame frame;
-        const sim_nanos t0 = engine.lamellae().clock().now();
+        const sim_nanos t0 = span != 0 ? engine.lamellae().mono_now() : 0;
         auto result = AmEngine::invoke_exec<Am>(am, ctx);
         if (span != 0) {
-          engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
+          engine.note_traced_exec(span, t0, engine.lamellae().mono_now());
         }
         engine.note_am_executed();
         if ((flags & kWantsReply) != 0) {
@@ -601,10 +586,10 @@ struct AmExecutor {
                                 span]() mutable {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
-        const sim_nanos t0 = engine.lamellae().clock().now();
+        const sim_nanos t0 = span != 0 ? engine.lamellae().mono_now() : 0;
         auto result = AmEngine::invoke_exec<Am>(am, ctx);
         if (span != 0) {
-          engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
+          engine.note_traced_exec(span, t0, engine.lamellae().mono_now());
         }
         engine.note_am_executed();
         if ((flags & kWantsReply) != 0) {

@@ -189,10 +189,11 @@ ShmemLamellaeGroup::Layout layout_from(const RuntimeConfig& cfg) {
 }  // namespace
 
 WorldGroup::WorldGroup(std::size_t num_pes, RuntimeConfig cfg,
-                       PerfParams params, PeMapping mapping, bool virtual_time)
+                       PerfParams params, PeMapping mapping)
     : cfg_(cfg),
       tracer_(!cfg.trace_file.empty(), cfg.trace_ring_capacity),
-      lamellae_group_(num_pes, layout_from(cfg), params, mapping, virtual_time,
+      lamellae_group_(num_pes, layout_from(cfg), params, mapping,
+                      cfg.enable_virtual_time,
                       cfg.metrics_mode != MetricsMode::kOff),
       team_seq_(num_pes, 0) {
   worlds_.reserve(num_pes);
@@ -305,13 +306,12 @@ std::shared_ptr<TeamShared> WorldGroup::rendezvous_team(
 // ---- run_world ----
 
 void run_world(std::size_t npes, const std::function<void(World&)>& body,
-               RuntimeConfig cfg, PerfParams params, PeMapping mapping,
-               bool virtual_time) {
+               RuntimeConfig cfg, PerfParams params, PeMapping mapping) {
   if (cfg.backend == BackendKind::kMmap) {
     run_world_mmap(npes, body, cfg);
     return;
   }
-  WorldGroup group(npes, cfg, params, mapping, virtual_time);
+  WorldGroup group(npes, cfg, params, mapping);
   std::vector<std::thread> mains;
   std::vector<std::exception_ptr> errors(npes);
   mains.reserve(npes);

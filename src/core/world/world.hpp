@@ -225,8 +225,7 @@ class WorldGroup : public WorldBackend {
   explicit WorldGroup(std::size_t num_pes,
                       RuntimeConfig cfg = RuntimeConfig::from_env(),
                       PerfParams params = paper_perf_params(),
-                      PeMapping mapping = PeMapping{},
-                      bool virtual_time = true);
+                      PeMapping mapping = PeMapping{});
   ~WorldGroup() override;
 
   WorldGroup(const WorldGroup&) = delete;
@@ -291,6 +290,6 @@ class WorldGroup : public WorldBackend {
 void run_world(std::size_t npes, const std::function<void(World&)>& body,
                RuntimeConfig cfg = RuntimeConfig::from_env(),
                PerfParams params = paper_perf_params(),
-               PeMapping mapping = PeMapping{}, bool virtual_time = true);
+               PeMapping mapping = PeMapping{});
 
 }  // namespace lamellar

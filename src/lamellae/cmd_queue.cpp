@@ -62,12 +62,12 @@ OutgoingQueues::Lane& OutgoingQueues::lane(pe_id dst) {
 
 void OutgoingQueues::RecordWriter::note_trace(std::uint64_t span,
                                               std::size_t ts_offset) {
-  lane_->traced.push_back({span, ts_offset, q_->lamellae_.clock().now()});
+  lane_->traced.push_back({span, ts_offset, q_->lamellae_.mono_now()});
 }
 
 void OutgoingQueues::seal_traced(ByteBuffer& buf,
                                  std::vector<TracedRecord>& traced) {
-  const sim_nanos now = lamellae_.clock().now();
+  const sim_nanos now = lamellae_.mono_now();
   for (const TracedRecord& t : traced) {
     // Patch the wire trace-ext ts with the departure time so the receiver
     // can compute flight latency from its own arrival clock.

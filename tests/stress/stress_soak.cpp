@@ -583,19 +583,17 @@ int main(int argc, char** argv) {
   // sanitizers alongside everything else; the span-conservation invariant
   // is checked at every quiesce point.
   cfg.trace_sample = 7;
-  // Adaptive control (ISSUE 10): LAMELLAR_ADAPT is the one env knob honored
-  // here, so the sanitizer jobs can soak the controller tick, age flush,
-  // and admission window (`LAMELLAR_ADAPT=full stress_soak ...`) without
-  // giving up the otherwise-fixed reproducible config.  Aggressive cadence:
-  // tick every 50 us of virtual time, 200 us age budget, a window small
-  // enough that the soak's AM bursts actually stall on it.
+  // Adaptive control: LAMELLAR_ADAPT is the one env knob honored here, so
+  // the sanitizer jobs can soak the controller tick and age flush
+  // (`LAMELLAR_ADAPT=agg stress_soak ...`) without giving up the
+  // otherwise-fixed reproducible config.  Aggressive cadence: tick every
+  // 50 us of virtual time, 200 us age budget.
   if (const char* a = std::getenv("LAMELLAR_ADAPT")) {
     cfg.adapt = parse_adapt_mode(a);
     if (cfg.adapt != AdaptMode::kOff) {
       cfg.adapt_interval_us = 50;
       cfg.adapt_age_budget_us = 200;
     }
-    if (cfg.adapt == AdaptMode::kFull) cfg.admit_window = 64;
   }
 
   run_world(opt.pes, [&](World& world) { soak_main(world, opt); }, cfg);

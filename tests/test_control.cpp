@@ -1,11 +1,13 @@
-// Adaptive aggregation control (ISSUE 10, DESIGN.md §14): the pure control
-// law under deterministic synthetic signals (convergence up and down,
-// hysteresis dead band, bound clamping, idle hold), the age-triggered
-// partial flush at the command-queue level, runtime threshold retuning, and
-// the live controller + admission window wired into a world.
+// Adaptive aggregation control (DESIGN.md §14): the pure control law under
+// deterministic synthetic signals (convergence up and down, hysteresis dead
+// band, bound clamping, idle hold), the age-triggered partial flush at the
+// command-queue level, runtime threshold retuning, the live controller
+// wired into a world, and the config surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/control/controller.hpp"
@@ -338,72 +340,65 @@ TEST(ControlWorld, LiveControllerAdjustsUpWithLatencyHeadroom) {
   EXPECT_LE(final_threshold, quiet_config().adapt_max_bytes);
 }
 
-TEST(ControlWorld, AdmissionWindowBoundsOutstandingAndCompletes) {
-  RuntimeConfig cfg = quiet_config();
-  cfg.admit_window = 8;  // explicit window works even with adapt off
-  std::uint64_t stalls = 0;
-  std::atomic<std::uint64_t> sum{0};
-  run_world(
-      2,
-      [&](World& world) {
-        if (world.my_pe() == 0) {
-          EXPECT_EQ(world.engine().admit_window(), 8u);
-          for (int i = 0; i < 500; ++i) {
-            world.engine().send_cb(1, TinyAm{std::uint64_t(i)},
-                                   [&sum](std::uint64_t r) {
-                                     sum.fetch_add(r,
-                                                   std::memory_order_relaxed);
-                                   });
-            EXPECT_LE(world.engine().outstanding(), 8u + 1);
-          }
-          world.wait_all();
-          stalls =
-              world.metrics_snapshot().counter("ctl.backpressure_stalls");
-        }
-        world.barrier();
-      },
-      cfg);
-  // 500 AMs each replying i+1; completing them all through an 8-deep
-  // window proves the gate cannot deadlock the reply path.
-  EXPECT_EQ(sum.load(), 500u * 501u / 2);
-  EXPECT_GT(stalls, 0u);
-}
-
-TEST(ControlWorld, AutoWindowOnlyUnderFullAdapt) {
-  RuntimeConfig agg = quiet_config();
-  agg.adapt = AdaptMode::kAgg;
-  run_world(
-      1, [&](World& world) { EXPECT_EQ(world.engine().admit_window(), 0u); },
-      agg);
-  RuntimeConfig full = quiet_config();
-  full.adapt = AdaptMode::kFull;
-  run_world(
-      1,
-      [&](World& world) { EXPECT_EQ(world.engine().admit_window(), 8192u); },
-      full);
-}
-
 // ---- config surface ----
 
 TEST(ControlConfig, ParseAdaptMode) {
   EXPECT_EQ(parse_adapt_mode("off"), AdaptMode::kOff);
   EXPECT_EQ(parse_adapt_mode("agg"), AdaptMode::kAgg);
-  EXPECT_EQ(parse_adapt_mode("full"), AdaptMode::kFull);
+  EXPECT_THROW(parse_adapt_mode("full"), std::invalid_argument);
   EXPECT_THROW(parse_adapt_mode("bogus"), std::invalid_argument);
 }
 
 TEST(ControlConfig, UnknownEnvVarsFlagged) {
-  ::setenv("LAMELLAR_DEFINITELY_NOT_A_KNOB", "1", 1);
+  // Retired knobs are flagged too, so old scripts warn instead of silently
+  // running without them.
+  const std::vector<std::string> flagged = {"LAMELLAR_DEFINITELY_NOT_A_KNOB",
+                                            "LAMELLAR_ADMIT_WINDOW",
+                                            "LAMELLAR_CMDQ_DEPTH"};
+  for (const auto& name : flagged) ::setenv(name.c_str(), "1", 1);
   ::setenv("LAMELLAR_ADAPT", "off", 1);  // known: must not be flagged
   auto unknown = unknown_lamellar_env_vars();
-  bool saw_bogus = false;
-  for (const auto& name : unknown) {
-    EXPECT_NE(name, "LAMELLAR_ADAPT");
-    if (name == "LAMELLAR_DEFINITELY_NOT_A_KNOB") saw_bogus = true;
+  for (const auto& name : unknown) EXPECT_NE(name, "LAMELLAR_ADAPT");
+  for (const auto& name : flagged) {
+    EXPECT_EQ(std::count(unknown.begin(), unknown.end(), name), 1) << name;
+    ::unsetenv(name.c_str());
   }
-  EXPECT_TRUE(saw_bogus);
-  ::unsetenv("LAMELLAR_DEFINITELY_NOT_A_KNOB");
   ::unsetenv("LAMELLAR_ADAPT");
+}
+
+/// Remote round trips from PE 0; returns PE 0's world clock afterwards.
+sim_nanos clock_after_round_trips(const RuntimeConfig& cfg) {
+  sim_nanos t = 0;
+  run_world(
+      2,
+      [&](World& world) {
+        if (world.my_pe() == 0) {
+          for (int i = 0; i < 16; ++i) {
+            EXPECT_EQ(world.block_on(world.exec_am_pe(
+                          1, TinyAm{std::uint64_t(i)})),
+                      std::uint64_t(i) + 1);
+          }
+          t = world.time_ns();
+        }
+        world.barrier();
+      },
+      cfg);
+  return t;
+}
+
+TEST(ControlConfig, VirtualTimeSwitchFollowsConfig) {
+  EXPECT_GT(clock_after_round_trips(quiet_config()), 0u);
+
+  RuntimeConfig off = quiet_config();
+  off.enable_virtual_time = false;
+  EXPECT_EQ(clock_after_round_trips(off), 0u);
+
+  ::setenv("LAMELLAR_VIRTUAL_TIME", "0", 1);
+  RuntimeConfig env = RuntimeConfig::from_env();
+  ::unsetenv("LAMELLAR_VIRTUAL_TIME");
+  EXPECT_FALSE(env.enable_virtual_time);
+  env.backend = BackendKind::kShmem;  // the switch is shmem-only
+  EXPECT_EQ(clock_after_round_trips(env), 0u);
 }
 
 }  // namespace

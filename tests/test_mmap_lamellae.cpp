@@ -168,6 +168,43 @@ MP_TEST(MpSmoke, EightPeAmStorm, 8) {
   MP_CHECK_EQ(g_received.load(), kRounds * 8);
 }
 
+// Stage latencies are stamped from the monotonic clock: the mmap backend's
+// virtual clock never advances, so stamps taken from it read 0.
+TEST_F(MpSmoke, StageLatenciesAreNonZero) {
+  RuntimeConfig cfg = mptest::small_config();
+  cfg.metrics_mode = MetricsMode::kQuiet;
+  cfg.trace_sample = 1;
+  mptest::run_mp(
+      2,
+      [](World& world) {
+        world.barrier();
+        if (world.my_pe() == 0) {
+          std::vector<Future<std::uint64_t>> futs;
+          for (std::uint64_t i = 0; i < 200; ++i) {
+            futs.push_back(world.exec_am_pe(1, MpAddAm{i, 1}));
+          }
+          for (std::uint64_t i = 0; i < 200; ++i) {
+            MP_CHECK_EQ(world.block_on(std::move(futs[i])), i + 1);
+          }
+        }
+        world.wait_all();
+        world.barrier();
+        const auto snap = world.metrics_snapshot();
+        if (world.my_pe() == 1) {
+          const auto* flight = snap.histogram("am.stage_flight_ns");
+          MP_CHECK(flight != nullptr);
+          MP_CHECK(flight->count > 0);
+          MP_CHECK(flight->max > 0);
+        } else {
+          const auto* reply = snap.histogram("am.reply_latency_ns");
+          MP_CHECK(reply != nullptr);
+          MP_CHECK(reply->max > 0);
+        }
+        world.barrier();
+      },
+      cfg);
+}
+
 // ---- Darc across address spaces ----
 
 MP_TEST(MpSmoke, DarcTravelsInAms, 4) {

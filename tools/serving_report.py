@@ -8,7 +8,7 @@ object per line, non-JSON lines ignored):
   LAMELLAR_METRICS_INTERVAL_MS / LAMELLAR_METRICS_FILE (lines tagged
   "telemetry": "lamellar").  Reported as a per-tick control-plane view:
   AM send rate, flush-cause mix, the adaptive controller's threshold
-  trajectory (ctl.threshold gauge), adjustments, and backpressure stalls.
+  trajectory (ctl.threshold gauge), and adjustments.
 
 * bench_serving rows — the one-line JSON rows bench_serving prints (lines
   tagged "bench": "serving", the same rows committed as BENCH_pr10.json).
@@ -20,9 +20,9 @@ Usage:
     tools/serving_report.py --check BENCH_pr10.json    # CI validation mode
 
 --check validates the committed serving artifact: every row verified, all
-requests completed, and on every shape adapt-full within 10% of the best
-static config's achieved throughput while beating the worst static config's
-service p99 (the properties CI enforces).
+requests completed, and on every shape adapt-agg within 10% of the best
+static config's achieved throughput, no worse than the worst static config's
+service p99, and making controller adjustments (the properties CI enforces).
 """
 
 import json
@@ -60,8 +60,7 @@ def report_telemetry(lines):
     print("# control-plane time series "
           f"({len(by_tick)} ticks, {len(lines)} pe-samples)")
     hdr = (f"{'tick':>5} {'ms':>8} {'sent/tick':>10} {'thresh-fl':>10} "
-           f"{'age-fl':>7} {'expl-fl':>8} {'ctl.thresh':>11} {'adj':>4} "
-           f"{'stalls':>7} {'coop_yld':>9}")
+           f"{'age-fl':>7} {'expl-fl':>8} {'ctl.thresh':>11} {'adj':>4}")
     print(hdr)
     for tick in sorted(by_tick):
         pes = by_tick[tick]
@@ -84,9 +83,7 @@ def report_telemetry(lines):
               f"{csum('cmdq.flush_age'):>7} "
               f"{csum('cmdq.flush_explicit'):>8} "
               f"{gmax('ctl.threshold'):>11} "
-              f"{csum('ctl.adjustments'):>4} "
-              f"{csum('ctl.backpressure_stalls'):>7} "
-              f"{csum('sched.coop_yields'):>9}")
+              f"{csum('ctl.adjustments'):>4}")
     print()
 
 
@@ -106,13 +103,12 @@ def report_serving(rows):
         print(f"# shape: {shape}  (offered {shaped[0]['offered_rps']:.0f}"
               " req/s)")
         print(f"{'config':<14} {'achieved/s':>11} {'svc_p99us':>10} "
-              f"{'arr_p99us':>10} {'adj':>5} {'stalls':>7} {'ok':>3}")
+              f"{'arr_p99us':>10} {'adj':>5} {'ok':>3}")
         for r in shaped:
             print(f"{r['config']:<14} {r['achieved_rps']:>11.0f} "
                   f"{r['service_us']['p99']:>10.1f} "
                   f"{r['arrival_us']['p99']:>10.1f} "
                   f"{r['ctl_adjustments']:>5} "
-                  f"{r['backpressure_stalls']:>7} "
                   f"{'yes' if r['verified'] else 'NO':>3}")
         statics = static_rows(shaped)
         adaptive = [r for r in shaped if r["config"].startswith("adapt-")]
@@ -141,23 +137,23 @@ def check_serving(rows):
         by_shape[r["shape"]].append(r)
     for shape, shaped in sorted(by_shape.items()):
         statics = static_rows(shaped)
-        full = [r for r in shaped if r["config"] == "adapt-full"]
-        if not statics or not full:
-            failures.append(f"{shape}: missing static or adapt-full rows")
+        agg = [r for r in shaped if r["config"] == "adapt-agg"]
+        if not statics or not agg:
+            failures.append(f"{shape}: missing static or adapt-agg rows")
             continue
         best = max(r["achieved_rps"] for r in statics)
         worst_p99 = max(r["service_us"]["p99"] for r in statics)
-        f = full[0]
-        if f["achieved_rps"] < 0.9 * best:
+        a = agg[0]
+        if a["achieved_rps"] < 0.9 * best:
             failures.append(
-                f"{shape}: adapt-full {f['achieved_rps']:.0f} req/s < "
+                f"{shape}: adapt-agg {a['achieved_rps']:.0f} req/s < "
                 f"0.9x best static {best:.0f}")
-        if f["service_us"]["p99"] > worst_p99:
+        if a["service_us"]["p99"] > worst_p99:
             failures.append(
-                f"{shape}: adapt-full svc p99 {f['service_us']['p99']:.1f}us "
+                f"{shape}: adapt-agg svc p99 {a['service_us']['p99']:.1f}us "
                 f"worse than worst static {worst_p99:.1f}us")
-        if f["ctl_adjustments"] == 0:
-            failures.append(f"{shape}: adapt-full made no adjustments")
+        if a["ctl_adjustments"] == 0:
+            failures.append(f"{shape}: adapt-agg made no adjustments")
     for msg in failures:
         print(f"CHECK FAIL: {msg}", file=sys.stderr)
     return not failures
